@@ -7,7 +7,7 @@ BENCH    ?= .
 SEED     ?= 42
 SNAPSHOT ?= BENCH_pr10.json
 
-.PHONY: all build test race vet bench bench-smoke fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability snapshot ci clean
+.PHONY: all build test race vet bench bench-smoke fuzz-smoke serve-smoke conformance conformance-remote conformance-faults conformance-durability bench-check snapshot ci clean
 
 all: build
 
@@ -77,9 +77,15 @@ conformance-durability:
 	$(GO) test -race -count=1 -run ConformanceDurability ./internal/conformance
 	$(GO) test -race -count=1 ./internal/wal
 
+# The load benchmark (loadbench/) is its own module, so `go build ./...`
+# never compiles it: vet and test it here so an internal API change that
+# breaks it fails CI instead of the next benchmark run.
+bench-check:
+	cd loadbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test -count=1 .
+
 # Machine-readable experiment snapshot via questbench: all experiment
 # tables including the E9 executor/planner, prune-path, E10
-# statistics/join-order, E11 sharded-execution, E12 remote-transport/
+# statistics access-path, E11 sharded-execution, E12 remote-transport/
 # hedged-read, E13 streaming/columnar, E14 replication/failover and E15
 # shard-durability benchmarks and the E16 open-loop serving-tier overload
 # sweep. Committed as BENCH_pr10.json so the perf trajectory is diffable
@@ -87,7 +93,7 @@ conformance-durability:
 snapshot:
 	$(GO) run ./cmd/questbench -seed $(SEED) -json $(SNAPSHOT)
 
-ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-smoke fuzz-smoke serve-smoke
+ci: build vet test race conformance conformance-remote conformance-faults conformance-durability bench-check bench-smoke fuzz-smoke serve-smoke
 
 clean:
 	rm -f BENCH_*.json

@@ -936,11 +936,11 @@ func BenchmarkComponent_FulltextRows(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Statistics/join-order benchmarks (PR 3 scorecard): the Selinger reorder
-// vs the written-order plan on a skewed 3-way join, and the sorted-index /
-// IN-union / MATCH-posting access paths vs the full-scan interpreter.
+// on a skewed 3-way join, and the sorted-index / IN-union / MATCH-posting
+// access paths vs the full-scan interpreter.
 
 // BenchmarkComponent_SQLJoinReorder: fact table written first, selective
-// predicate on the last dimension — the written order joins ~33k rows
+// predicate on the last dimension — the written order would join ~33k rows
 // before filtering, the statistics-driven order starts from one person.
 func BenchmarkComponent_SQLJoinReorder(b *testing.B) {
 	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 16})
@@ -948,25 +948,12 @@ func BenchmarkComponent_SQLJoinReorder(b *testing.B) {
 		JOIN movie ON movie.movie_id = cast_info.movie_id
 		JOIN person ON person.person_id = cast_info.person_id
 		WHERE person.person_id = 33`)
-	b.Run("reordered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sql.Execute(db, stmt); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sql.Execute(db, stmt); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("written-order", func(b *testing.B) {
-		sql.SetJoinReorder(false)
-		defer sql.SetJoinReorder(true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sql.Execute(db, stmt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkComponent_SQLRangeScan: BETWEEN through the sorted secondary
@@ -1039,41 +1026,34 @@ func BenchmarkComponent_MatchPostings(b *testing.B) {
 	})
 }
 
-// BenchmarkComponent_MixedReadWrite: the write-then-read unit E17 drives
-// over HTTP, without the serving tier — one insert into movie followed by
-// a range read whose plan must re-consult that table's statistics and
-// whose scan must see the new row in the sorted index. The incremental
-// sub-benchmark folds the insert into the statistics delta and the
-// index side-run; the rebuild sub-benchmark pays a from-scratch
-// statistics build and index sort per iteration.
+// BenchmarkComponent_MixedReadWrite: the write-then-read unit of the
+// mixed read/write hot path, without the serving tier — one insert into
+// movie followed by a range read whose plan must re-consult that table's
+// statistics and whose scan must see the new row in the sorted index. The
+// insert folds into the statistics delta and the index side-run.
 func BenchmarkComponent_MixedReadWrite(b *testing.B) {
 	read := mustParseSQL(b, "SELECT COUNT(*) AS n FROM movie WHERE production_year >= 1980 AND rating >= 5.0")
-	run := func(b *testing.B, incremental bool) {
-		defer relational.SetIncrementalMaintenance(relational.SetIncrementalMaintenance(incremental))
-		db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 20})
-		src := wrapper.NewFullAccessSource(db)
-		if _, err := src.Execute(read); err != nil { // warm stats and indexes
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 20})
+	src := wrapper.NewFullAccessSource(db)
+	if _, err := src.Execute(read); err != nil { // warm stats and indexes
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := int64(1_000_000 + i)
+		row := quest.Row{
+			relational.Int(id),
+			relational.String_(fmt.Sprintf("Benchmark Movie %d", id)),
+			relational.Int(1960 + id%60),
+			relational.String_("drama"),
+			relational.Float(5.0),
+		}
+		if err := src.Insert("movie", row); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := int64(1_000_000 + i)
-			row := quest.Row{
-				relational.Int(id),
-				relational.String_(fmt.Sprintf("Benchmark Movie %d", id)),
-				relational.Int(1960 + id%60),
-				relational.String_("drama"),
-				relational.Float(5.0),
-			}
-			if err := src.Insert("movie", row); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := src.Execute(read); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := src.Execute(read); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-	b.Run("rebuild", func(b *testing.B) { run(b, false) })
 }

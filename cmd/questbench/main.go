@@ -1,5 +1,5 @@
 // Command questbench runs the full experiment suite (E1–E8 of DESIGN.md §3
-// plus the E9 executor/planner scorecard, the E10 statistics/join-order
+// plus the E9 executor/planner scorecard, the E10 statistics access-path
 // scorecard, the E11 sharded-execution scorecard, the E12 remote
 // transport / hedged-read scorecard, the E13 streaming/columnar
 // scorecard, the E14 replication/failover scorecard, the E15 shard
@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	questbench [-exp all|e1..e17] [-seed N] [-n N] [-json BENCH_42.json]
+//	questbench [-exp all|e1..e16] [-seed N] [-n N] [-json BENCH_42.json]
 package main
 
 import (
@@ -97,7 +97,7 @@ func writeSnapshot(path string) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, e1..e17)")
+	exp := flag.String("exp", "all", "experiment to run (all, e1..e16)")
 	flag.Parse()
 
 	runners := map[string]func(){
@@ -117,10 +117,9 @@ func main() {
 		"e14": e14Failover,
 		"e15": e15Durability,
 		"e16": e16Serving,
-		"e17": e17Mixed,
 	}
 	if *exp == "all" {
-		for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17"} {
+		for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16"} {
 			runners[name]()
 		}
 	} else {
@@ -593,22 +592,24 @@ func e8Ablations() {
 	emit(tbl3)
 }
 
+// timeQuery runs run reps times and returns the mean wall time per call in
+// whole-microsecond resolution; an error from run panics.
+func timeQuery(run func() error, reps int) float64 {
+	start := time.Now()
+	for i := 0; i < reps; i++ {
+		if err := run(); err != nil {
+			panic(err)
+		}
+	}
+	return float64(time.Since(start).Microseconds()) / float64(reps)
+}
+
 // e9Planner: the PR 2 executor scorecard. One table times indexed
 // selection and pushed-down joins against the retained full-scan
 // interpreter; a second shows that existence-only validation (the
 // PruneEmpty path) stays near-flat while materializing execution scales
 // with the instance.
 func e9Planner() {
-	timeQuery := func(run func() error, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := run(); err != nil {
-				panic(err)
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / float64(reps)
-	}
-
 	tbl := &eval.Table{
 		Title:   "E9a — planner vs full-scan interpreter (imdb)",
 		Headers: []string{"query", "scale", "planned-us", "full-scan-us", "speedup", "access"},
@@ -673,63 +674,17 @@ func e9Planner() {
 	emit(tbl2)
 }
 
-// e10Statistics: the PR 3 statistics/join-order scorecard. A skewed
-// ≥3-table join (fact table written first, selective predicate on the last
-// dimension) is timed under the statistics-driven join-order search vs the
-// PR 2 written-order plan, and range/IN/MATCH predicates are timed through
-// their index access paths vs the full-scan interpreter. Every pairing is
-// also checked for identical row counts, so the table doubles as an
-// equivalence smoke test.
+// e10Statistics: the PR 3 statistics scorecard. Range/IN/MATCH
+// predicates are timed through their index access paths vs the full-scan
+// interpreter. Every pairing is also checked for identical row counts, so
+// the table doubles as an equivalence smoke test.
 func e10Statistics() {
 	db := quest.BuildIMDB(quest.DatasetConfig{Seed: *seed, Scale: 16})
 
-	timeQuery := func(run func() error, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := run(); err != nil {
-				panic(err)
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / float64(reps)
-	}
-
 	tbl := &eval.Table{
-		Title:   "E10 — statistics-driven planning vs written-order / full-scan baselines (imdb scale 16)",
+		Title:   "E10 — statistics-driven access paths vs full-scan baseline (imdb scale 16)",
 		Headers: []string{"case", "rows", "stats-us", "baseline-us", "speedup", "plan"},
 	}
-
-	// Skewed 3-way join, fact table first: the join-order search must start
-	// from the selective dimension instead.
-	const skewed = `SELECT person.name, movie.title FROM cast_info
-		JOIN movie ON movie.movie_id = cast_info.movie_id
-		JOIN person ON person.person_id = cast_info.person_id
-		WHERE person.person_id = 33`
-	stmt, err := quest.ParseSQL(skewed)
-	if err != nil {
-		panic(err)
-	}
-	res, err := sqlpkg.Execute(db, stmt)
-	if err != nil {
-		panic(err)
-	}
-	reordered := timeQuery(func() error { _, err := sqlpkg.Execute(db, stmt); return err }, 30)
-	sqlpkg.SetJoinReorder(false)
-	wres, err := sqlpkg.Execute(db, stmt) // warm the written-order plan
-	if err != nil {
-		panic(err)
-	}
-	if len(wres.Rows) != len(res.Rows) {
-		panic(fmt.Sprintf("E10 row divergence: reordered %d vs written %d", len(res.Rows), len(wres.Rows)))
-	}
-	written := timeQuery(func() error { _, err := sqlpkg.Execute(db, stmt); return err }, 30)
-	sqlpkg.SetJoinReorder(true)
-	qp, err := sqlpkg.Plan(db, stmt)
-	if err != nil {
-		panic(err)
-	}
-	tbl.AddRow("join-reorder (3-table, skewed)", fmt.Sprint(len(res.Rows)),
-		fmt.Sprintf("%.1f", reordered), fmt.Sprintf("%.1f", written),
-		fmt.Sprintf("%.1fx", written/reordered), strings.Join(qp.JoinOrder, "→"))
 
 	// Index access paths vs the retained full-scan interpreter.
 	for _, c := range []struct {
@@ -770,25 +725,13 @@ func e10Statistics() {
 
 // e11Sharded: the PR 4 sharded-execution scorecard. E11a runs a join
 // workload — the PruneEmpty validation shape — through ShardedSource at
-// increasing shard counts, in pushdown mode (predicates execute on the
-// shards, only qualifying rows ship) and in the ship-rows-to-coordinator
-// ablation (SetPushdown(false)): the rows-shipped column is the bandwidth
-// story, the latency columns the wall-clock one, and the exists column
-// shows validation scaling with shard parallelism. E11b shows PK partition
-// pruning: a point lookup touches exactly one shard no matter how many
-// exist.
+// increasing shard counts with predicates pushed down to the shards: the
+// rows-shipped column is the bandwidth story, the latency columns the
+// wall-clock one, and the exists column shows validation scaling with
+// shard parallelism. E11b shows PK partition pruning: a point lookup
+// touches exactly one shard no matter how many exist.
 func e11Sharded() {
 	db := quest.BuildIMDB(quest.DatasetConfig{Seed: *seed, Scale: 8})
-
-	timeQuery := func(run func() error, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := run(); err != nil {
-				panic(err)
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / float64(reps)
-	}
 
 	const joinQ = `SELECT person.name, movie.title FROM person
 		JOIN cast_info ON cast_info.person_id = person.person_id
@@ -799,8 +742,8 @@ func e11Sharded() {
 		panic(err)
 	}
 	tbl := &eval.Table{
-		Title:   "E11a — sharded join workload: pushdown vs ship-rows-to-coordinator (imdb scale 8)",
-		Headers: []string{"shards", "mode", "rows", "exec-us", "exists-us", "rows-shipped", "ship-ratio"},
+		Title:   "E11a — sharded join workload with predicate pushdown (imdb scale 8)",
+		Headers: []string{"shards", "rows", "exec-us", "exists-us", "rows-shipped"},
 	}
 	var refRows int
 	for _, n := range []int{1, 2, 4, 8} {
@@ -812,41 +755,26 @@ func e11Sharded() {
 		if err != nil {
 			panic(err)
 		}
-		type mode struct {
-			name     string
-			pushdown bool
+		res, err := src.Execute(stmt) // warm shard plans and indexes
+		if err != nil {
+			panic(err)
 		}
-		shipped := map[string]uint64{}
-		for _, m := range []mode{{"pushdown", true}, {"ship-rows", false}} {
-			src.SetPushdown(m.pushdown)
-			res, err := src.Execute(stmt) // warm shard plans and indexes
-			if err != nil {
-				panic(err)
-			}
-			if refRows == 0 {
-				refRows = len(res.Rows)
-			}
-			if len(res.Rows) != refRows {
-				panic(fmt.Sprintf("E11 row divergence at %d shards (%s): %d vs %d",
-					n, m.name, len(res.Rows), refRows))
-			}
-			reps := 5
-			exec := timeQuery(func() error { _, err := src.Execute(stmt); return err }, reps)
-			exists := timeQuery(func() error { _, err := src.ExecuteExists(stmt); return err }, reps)
-			src.ResetStats()
-			if _, err := src.Execute(stmt); err != nil {
-				panic(err)
-			}
-			st := src.Stats()
-			shipped[m.name] = st.RowsShipped
-			ratio := "-"
-			if m.name == "ship-rows" && shipped["pushdown"] > 0 {
-				ratio = fmt.Sprintf("%.1fx", float64(shipped["ship-rows"])/float64(shipped["pushdown"]))
-			}
-			tbl.AddRow(fmt.Sprint(n), m.name, fmt.Sprint(refRows),
-				fmt.Sprintf("%.1f", exec), fmt.Sprintf("%.1f", exists),
-				fmt.Sprint(st.RowsShipped), ratio)
+		if refRows == 0 {
+			refRows = len(res.Rows)
 		}
+		if len(res.Rows) != refRows {
+			panic(fmt.Sprintf("E11 row divergence at %d shards: %d vs %d", n, len(res.Rows), refRows))
+		}
+		reps := 5
+		exec := timeQuery(func() error { _, err := src.Execute(stmt); return err }, reps)
+		exists := timeQuery(func() error { _, err := src.ExecuteExists(stmt); return err }, reps)
+		src.ResetStats()
+		if _, err := src.Execute(stmt); err != nil {
+			panic(err)
+		}
+		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(refRows),
+			fmt.Sprintf("%.1f", exec), fmt.Sprintf("%.1f", exists),
+			fmt.Sprint(src.Stats().RowsShipped))
 	}
 	emit(tbl)
 
@@ -910,16 +838,6 @@ func (b *flakyBackend) Execute(stmt *sqlpkg.SelectStmt) (*sqlpkg.Result, error) 
 // leaked once the sources close.
 func e12Remote() {
 	db := quest.BuildIMDB(quest.DatasetConfig{Seed: *seed, Scale: 8})
-
-	timeQuery := func(run func() error, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := run(); err != nil {
-				panic(err)
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / float64(reps)
-	}
 
 	const joinQ = `SELECT person.name, movie.title FROM person
 		JOIN cast_info ON cast_info.person_id = person.person_id

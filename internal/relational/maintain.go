@@ -1,9 +1,6 @@
 package relational
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // Incremental maintenance keeps the read side cheap under mixed
 // insert/query traffic. Without it, one Insert bumps the table version and
@@ -28,16 +25,10 @@ import (
 // sampled) so the planner and ExplainAnalyze can report which kind of
 // estimate a plan was built from. MaintenanceStats exposes the counters
 // that make rebuild-avoidance observable.
-//
-// SetIncrementalMaintenance toggles the whole mechanism process-wide
-// (benchmarks use it to pin the rebuild-per-write baseline); it defaults
-// to on.
 
-// Tunables for the mixed read/write hot path. They are variables, not
-// constants, so operators (and benchmarks) can trade estimate staleness
-// against rebuild cost; see the README "mixed read/write tuning" section.
-// Mutate them only while no table is being queried.
-var (
+// Constants of the mixed read/write hot path: how stale an estimate may
+// get before a rebuild, and when a rebuild samples rather than sorts.
+const (
 	// StatsStalenessInserts is the flat part of the staleness budget: a
 	// column's delta-maintained statistics may absorb this many inserts
 	// before a histogram/MCV rebuild is forced.
@@ -68,24 +59,6 @@ const (
 // statsDeltaKeyCap bounds the per-column delta key map; a delta that
 // overflows it forces a rebuild instead of an in-place fold.
 const statsDeltaKeyCap = 4096
-
-// incrementalOff flips the process-wide maintenance switch; zero value
-// means maintenance is ON.
-var incrementalOff atomic.Bool
-
-// SetIncrementalMaintenance turns incremental statistics and sorted-index
-// maintenance on or off process-wide and returns the previous setting.
-// Off restores the rebuild-per-write behavior (every Insert invalidates
-// statistics snapshots and sorted indexes wholesale); benchmarks use it to
-// measure the baseline. Toggling is safe at any time: tables self-correct
-// by falling back to full rebuilds for state maintained under the other
-// setting.
-func SetIncrementalMaintenance(on bool) bool {
-	return !incrementalOff.Swap(!on)
-}
-
-// IncrementalMaintenance reports whether incremental maintenance is on.
-func IncrementalMaintenance() bool { return !incrementalOff.Load() }
 
 // statsDelta accumulates what Insert has appended to one column since its
 // base statistics snapshot was built.

@@ -43,7 +43,6 @@ func propRow(rng *rand.Rand, id int64) Row {
 // must equal a from-scratch rebuild exactly on Rows, NullCount, Min and
 // Max, and stay within bounded error on Distinct and the histogram mass.
 func TestPropertyDeltaStatsTolerance(t *testing.T) {
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(true))
 	for _, shards := range []int{1, 3, 7} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + shards)))
@@ -97,7 +96,7 @@ func TestPropertyDeltaStatsTolerance(t *testing.T) {
 					got := MergeColumnStats(snaps)
 
 					// From-scratch control: a fresh table holding the same
-					// rows, statistics built with maintenance off.
+					// rows, statistics built in one full pass.
 					want := rebuildControl(t, ts, all, col)
 
 					if got.Rows != want.Rows || got.NullCount != want.NullCount {
@@ -145,10 +144,10 @@ func TestPropertyDeltaStatsTolerance(t *testing.T) {
 }
 
 // rebuildControl computes the from-scratch reference: the same rows in a
-// fresh table, statistics built with incremental maintenance off.
+// fresh table whose first Stats call comes after every insert, so no delta
+// exists and the call is a full build by construction.
 func rebuildControl(t *testing.T, ts *TableSchema, rows []Row, col string) *ColumnStats {
 	t.Helper()
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(false))
 	ctl := NewTable(ts)
 	for _, row := range rows {
 		if err := ctl.Insert(row); err != nil {
@@ -158,6 +157,9 @@ func rebuildControl(t *testing.T, ts *TableSchema, rows []Row, col string) *Colu
 	cs, err := ctl.Stats(col)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cs.Freshness != StatsFresh {
+		t.Fatalf("control statistics are %q, want a full build", cs.Freshness)
 	}
 	return cs
 }

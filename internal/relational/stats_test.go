@@ -202,11 +202,11 @@ func TestRangeOrdinals(t *testing.T) {
 	}
 }
 
-// TestSortedIndexStaleVersionRebuild: with incremental maintenance off, a
-// sorted index built before an Insert must be rebuilt on next use, so range
-// scans never miss new rows (the rebuild-per-write baseline).
+// TestSortedIndexStaleVersionRebuild: a sorted index built before an
+// Insert must never let a range scan miss the new row. Insert keeps the
+// index at the table's version; once the index is dropped (the version
+// moves with nothing left to maintain) the next range scan rebuilds it.
 func TestSortedIndexStaleVersionRebuild(t *testing.T) {
-	defer SetIncrementalMaintenance(SetIncrementalMaintenance(false))
 	tbl := statsTable(t)
 	if _, err := tbl.RangeOrdinals("year", Int(2100), Null(), true, true); err != nil {
 		t.Fatal(err)
@@ -216,8 +216,8 @@ func TestSortedIndexStaleVersionRebuild(t *testing.T) {
 	}
 	builds := tbl.SortedIndexBuildCount()
 	tbl.MustInsert(Row{Int(9999), Int(2150), String_("scifi")})
-	if tbl.HasSortedIndex("year") {
-		t.Error("stale sorted index must not report as up to date")
+	if !tbl.HasSortedIndex("year") {
+		t.Error("Insert must keep the sorted index at the table version")
 	}
 	ords, err := tbl.RangeOrdinals("year", Int(2100), Null(), true, true)
 	if err != nil {
@@ -226,14 +226,27 @@ func TestSortedIndexStaleVersionRebuild(t *testing.T) {
 	if len(ords) != 1 {
 		t.Fatalf("post-insert range = %d ordinals, want the new row", len(ords))
 	}
+	if tbl.SortedIndexBuildCount() != builds {
+		t.Errorf("build count = %d, want %d (no rebuild)", tbl.SortedIndexBuildCount(), builds)
+	}
+	tbl.DropIndexes()
+	if tbl.HasSortedIndex("year") {
+		t.Error("dropped sorted index must not report as up to date")
+	}
+	ords, err = tbl.RangeOrdinals("year", Int(2100), Null(), true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ords) != 1 {
+		t.Fatalf("post-drop range = %d ordinals, want the new row", len(ords))
+	}
 	if tbl.SortedIndexBuildCount() != builds+1 {
 		t.Errorf("build count = %d, want %d (one rebuild)", tbl.SortedIndexBuildCount(), builds+1)
 	}
 }
 
-// TestSortedIndexSideRun: with incremental maintenance on (the default),
-// inserts land in a sorted side-run instead of invalidating the index —
-// range scans merge the runs on read, no rebuild happens until the run
+// TestSortedIndexSideRun: inserts land in a sorted side-run instead of
+// invalidating the index — range scans merge the runs on read, no rebuild happens until the run
 // outgrows SortedSideRunThreshold, and results never miss a row.
 func TestSortedIndexSideRun(t *testing.T) {
 	tbl := statsTable(t)

@@ -33,14 +33,13 @@ func (r Row) Clone() Row {
 // Index invalidation rules: an equality index built by EnsureIndex is
 // maintained incrementally by Insert (the new ordinal is appended to its
 // posting), so indexes built mid-population stay correct. Sorted indexes
-// and statistics snapshots are version-checked; with incremental
-// maintenance on (the default, see maintain.go) Insert keeps sorted
-// indexes current through a sorted side-run and accrues per-column
-// statistics deltas, so reads after writes avoid full rebuilds. Every
-// Insert also bumps the table's Version; consumers that cache derived
-// state outside the table (the SQL planner's plan cache, the serving
-// tier's response cache) key it on the version and so observe mutations
-// as cache misses rather than stale reads.
+// and statistics snapshots are version-checked; Insert (see maintain.go)
+// keeps sorted indexes current through a sorted side-run and accrues
+// per-column statistics deltas, so reads after writes avoid full rebuilds.
+// Every Insert also bumps the table's Version; consumers that cache
+// derived state outside the table (the SQL planner's plan cache, the
+// serving tier's response cache) key it on the version and so observe
+// mutations as cache misses rather than stale reads.
 type Table struct {
 	Schema *TableSchema
 
@@ -64,9 +63,8 @@ type Table struct {
 	indexBuilds int
 	// sortedIndexes maps column ordinal -> row ordinals sorted by value
 	// (range-scan support). Each entry records the version it reflects;
-	// with incremental maintenance Insert keeps current entries current by
-	// absorbing rows into a sorted side-run, otherwise a stale entry is
-	// rebuilt on next access.
+	// Insert keeps current entries current by absorbing rows into a sorted
+	// side-run, and a stale entry is rebuilt on next access.
 	sortedIndexes map[int]*sortedIndex
 	sortedBuilds  int
 	sortedMerges  int // read-time main+side merges (see RangeOrdinals)
@@ -84,10 +82,10 @@ type Table struct {
 // sortedIndex holds a column's non-NULL row ordinals ordered by
 // (value ascending under Compare, ordinal ascending). The version pins the
 // Table.Version it reflects; a mismatch means the table mutated without
-// maintenance and the index must be rebuilt before use. Under incremental
-// maintenance, inserts land in side — also (value, ordinal)-ordered, and
-// ordinal-disjoint above ords — which range reads merge on the fly until
-// it exceeds SortedSideRunThreshold and is collapsed into ords.
+// maintenance and the index must be rebuilt before use. Inserts land in
+// side — also (value, ordinal)-ordered, and ordinal-disjoint above ords —
+// which range reads merge on the fly until it exceeds
+// SortedSideRunThreshold and is collapsed into ords.
 type sortedIndex struct {
 	version uint64
 	ords    []int
@@ -167,13 +165,7 @@ func (t *Table) Insert(row Row) error {
 		k := coerced[colOrd].Key()
 		idx[k] = append(idx[k], ord)
 	}
-	if IncrementalMaintenance() {
-		t.maintainInsertLocked(coerced, ord, oldVersion, newVersion)
-	} else if len(t.statsMaint) > 0 {
-		// Maintenance was toggled off mid-stream: deltas would silently
-		// miss this insert, so drop them and fall back to full rebuilds.
-		t.statsMaint = nil
-	}
+	t.maintainInsertLocked(coerced, ord, oldVersion, newVersion)
 	return nil
 }
 

@@ -14,6 +14,9 @@
 //	POST /v1/sql     {"sql": "SELECT ..."} or sql=... form body
 //	POST /v1/insert  {"table": ..., "rows": [[...], ...]} row appends
 //
+// Both POST endpoints read at most maxBodyBytes (1 MiB) of body; a larger
+// body is answered 413 payload_too_large.
+//
 // Request headers:
 //
 //	X-Quest-Tenant       admission-control identity; "default" when absent
@@ -45,8 +48,8 @@
 // respCache for the validation contract.
 //
 // Every typed failure is a JSON body {"error": code, "message": ...} with
-// code one of bad_request, rate_limited, overloaded, deadline_exceeded,
-// canceled, internal.
+// code one of bad_request, payload_too_large, rate_limited, overloaded,
+// deadline_exceeded, canceled, internal.
 package serve
 
 import (
@@ -161,7 +164,7 @@ type Stats struct {
 	Shed             uint64 // 503s: admitted-load bound exceeded
 	DeadlineExceeded uint64 // 504s: request deadline fired
 	ClientCanceled   uint64 // 499s: client went away mid-request
-	BadRequests      uint64 // 400s
+	BadRequests      uint64 // 400s and 413s
 	Errors           uint64 // 500s
 
 	RowsReturned uint64 // data rows written into responses
@@ -297,6 +300,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) failBadRequest(w http.ResponseWriter, msg string) {
 	s.c.badRequests.Add(1)
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad_request", Message: msg})
+}
+
+// maxBodyBytes bounds the request body /v1/sql and /v1/insert read.
+const maxBodyBytes = 1 << 20
+
+// failBody answers an error from reading the request body: 413
+// payload_too_large when the body ran past maxBodyBytes, 400 otherwise.
+func (s *Server) failBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		s.failBadRequest(w, err.Error())
+		return
+	}
+	s.c.badRequests.Add(1)
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "payload_too_large",
+		Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
 }
 
 // failCtx maps a context error to its typed response: deadline_exceeded
@@ -634,9 +653,10 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		s.failBadRequest(w, "use POST")
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	query, err := sqlOf(r)
 	if err != nil {
-		s.failBadRequest(w, err.Error())
+		s.failBody(w, err)
 		return
 	}
 	limit, err := formInt(r, "limit", 1000)
@@ -745,12 +765,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		Table string  `json:"table"`
 		Rows  [][]any `json:"rows"`
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	// Numbers arrive as json.Number so integer keys survive without a
 	// float64 round-trip.
 	dec.UseNumber()
 	if err := dec.Decode(&body); err != nil {
-		s.failBadRequest(w, fmt.Sprintf("bad JSON body: %v", err))
+		s.failBody(w, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if strings.TrimSpace(body.Table) == "" {
@@ -848,12 +868,16 @@ func sqlOf(r *http.Request) (string, error) {
 			SQL string `json:"sql"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return "", fmt.Errorf("bad JSON body: %v", err)
+			return "", fmt.Errorf("bad JSON body: %w", err)
 		}
 		if strings.TrimSpace(body.SQL) == "" {
 			return "", fmt.Errorf(`missing "sql" field`)
 		}
 		return body.SQL, nil
+	}
+	// Parse explicitly: FormValue would swallow a body-size error.
+	if err := r.ParseForm(); err != nil {
+		return "", fmt.Errorf("bad form body: %w", err)
 	}
 	q := strings.TrimSpace(r.FormValue("sql"))
 	if q == "" {

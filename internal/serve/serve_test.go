@@ -204,6 +204,66 @@ func TestTypedBadRequests(t *testing.T) {
 	}
 }
 
+// bodyLimit mirrors the server's 1 MiB request-body bound.
+const bodyLimit = 1 << 20
+
+// padBody returns head + spaces + tail, exactly size bytes long: JSON
+// (and form values, after TrimSpace) ignore the padding.
+func padBody(head, tail string, size int) string {
+	return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+}
+
+// TestBodySizeLimit: /v1/sql (JSON and form) and /v1/insert answer a body
+// one byte past the limit with a typed 413, and still serve a body at the
+// limit and a normal one.
+func TestBodySizeLimit(t *testing.T) {
+	s, _ := newGateServer(t, false, serve.Options{TenantRate: -1})
+	post := func(path, contentType, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		return w
+	}
+	const (
+		jsonCT = "application/json"
+		formCT = "application/x-www-form-urlencoded"
+	)
+	sqlJSON := func(size int) string { return padBody(`{"sql": "SELECT title FROM movie`, `"}`, size) }
+	sqlForm := func(size int) string { return padBody("sql=SELECT+title+FROM+movie", "", size) }
+	insert := func(id, size int) string {
+		return padBody(fmt.Sprintf(`{"table": "movie", "rows": [[%d, "Big Body", 2025, "drama", 5.0]]`, id), "}", size)
+	}
+	cases := []struct {
+		name, path, ct string
+		body           func(size int) string
+	}{
+		{"sql json", "/v1/sql", jsonCT, sqlJSON},
+		{"sql form", "/v1/sql", formCT, sqlForm},
+		{"insert", "/v1/insert", jsonCT, func(size int) string { return insert(9100, size) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := post(tc.path, tc.ct, tc.body(bodyLimit+1))
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("limit+1 bytes: code %d body %s, want 413", w.Code, w.Body.String())
+			}
+			if code := errorCode(t, w); code != "payload_too_large" {
+				t.Fatalf("limit+1 bytes: error code %q, want payload_too_large", code)
+			}
+			if w := post(tc.path, tc.ct, tc.body(bodyLimit)); w.Code != http.StatusOK {
+				t.Fatalf("limit bytes: code %d body %s, want 200", w.Code, w.Body.String())
+			}
+		})
+	}
+	if w := post("/v1/sql", jsonCT, `{"sql": "SELECT title FROM movie WHERE movie_id = 1"}`); w.Code != http.StatusOK {
+		t.Fatalf("normal sql body: code %d body %s", w.Code, w.Body.String())
+	}
+	if w := post("/v1/insert", jsonCT, insert(9200, 80)); w.Code != http.StatusOK {
+		t.Fatalf("normal insert body: code %d body %s", w.Code, w.Body.String())
+	}
+}
+
 func TestRateLimitTyped(t *testing.T) {
 	s, _ := newGateServer(t, false, serve.Options{TenantRate: 0.5, TenantBurst: 1})
 

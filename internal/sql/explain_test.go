@@ -112,9 +112,10 @@ func TestExplainRowCounts(t *testing.T) {
 // costed after an in-budget insert is annotated budget-stale (the delta
 // path served the estimate), and a scan over a sampled rebuild says so.
 func TestExplainAnalyzeStatsFreshness(t *testing.T) {
-	defer relational.SetIncrementalMaintenance(relational.SetIncrementalMaintenance(true))
 	db := testDB(t)
-	stmt, err := Parse("SELECT title FROM movie WHERE year > 1990")
+	// The OR keeps the scan off the sorted index once the table is large,
+	// so its estimate still comes from column statistics.
+	stmt, err := Parse("SELECT title FROM movie WHERE year > 1990 OR year < 1900")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +143,15 @@ func TestExplainAnalyzeStatsFreshness(t *testing.T) {
 		t.Errorf("post-insert analyze should report budget-stale statistics:\n%s", plan)
 	}
 
-	// Force the sampled path: lower the sampling threshold so the rebuild
-	// triggered by dropping the cached state is a sampled one.
-	defer func(rows, size int) {
-		relational.StatsSampleRows, relational.StatsSampleSize = rows, size
-	}(relational.StatsSampleRows, relational.StatsSampleSize)
-	relational.StatsSampleRows, relational.StatsSampleSize = 1, 3
-	db.Table("movie").DropIndexes()
+	// Grow the table past StatsSampleRows: the burst overruns the staleness
+	// budget, so the next plan forces a rebuild, and at this size the
+	// rebuild samples. The new rows fall in 1900..1979, outside the result.
+	movies := db.Table("movie")
+	for id := int64(100); movies.Len() < relational.StatsSampleRows; id++ {
+		if err := db.Insert("movie", relational.Row{I(id), S("filler"), I(1900 + id%80), F(5.0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if plan := analyze(); !strings.Contains(plan, "[stats: sampled]") {
 		t.Errorf("analyze over a sampled rebuild should say so:\n%s", plan)
 	}
