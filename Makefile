@@ -32,10 +32,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Component -benchtime 1x $(PKGS)
 
-# Short fuzz pass over the columnar frame decoder: malformed dictionary /
-# RLE payloads must surface as typed protocol errors, never a panic.
+# Short fuzz passes over the columnar frame decoder — malformed dictionary /
+# RLE payloads must surface as typed protocol errors, never a panic — and
+# over decoded FK join statements, which the planner (index-probe joins
+# included) must answer exactly like the reference interpreter.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzColumnarDecode -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzProbeJoinEquivalence -fuzztime 10s ./internal/sql
 
 # Serving-tier smoke: questd's HTTP surface against an in-process engine
 # under an open-loop burst — a rate-limited tenant must draw typed 429s

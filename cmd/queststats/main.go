@@ -668,6 +668,7 @@ func plannerCounterTable() *eval.Table {
 		{"lazy-index-builds", fmt.Sprint(st.LazyIndexBuilds)},
 		{"join-reorders", fmt.Sprint(st.JoinReorders)},
 		{"hash-joins", fmt.Sprint(st.HashJoins)},
+		{"index-probe-joins", fmt.Sprint(st.IndexProbeJoins)},
 		{"nested-loop-joins", fmt.Sprint(st.NestedLoopJoins)},
 		{"build-side-swaps", fmt.Sprint(st.BuildSideSwaps)},
 		{"pushed-predicates", fmt.Sprint(st.PushedPredicates)},

@@ -22,13 +22,14 @@ func (r Row) Clone() Row {
 // Bulk population (loaders, generators) remains a distinct phase that must
 // not run concurrently with reads. After population, all read paths are
 // safe to share between goroutines, and the index/statistics read paths
-// (EnsureIndex, Lookup, RangeOrdinals, Stats, DistinctCount) additionally
-// tolerate concurrent Inserts: Insert performs every shared-structure
-// mutation — row append, version bump, index and statistics maintenance —
-// under idxMu, the same lock those readers take. Unlocked row access
-// (Rows, Row, LookupPK, executor scans) is still reads-only territory;
-// callers that interleave scans with writes serialize at a higher layer
-// (wrapper.FullAccessSource holds an RWMutex around Execute/Insert).
+// (EnsureIndex, Lookup, RangeOrdinals, EqualOrdinals, Stats, DistinctCount)
+// additionally tolerate concurrent Inserts: Insert performs every
+// shared-structure mutation — row append, version bump, index and
+// statistics maintenance — under idxMu, the same lock those readers take.
+// Unlocked row access (Rows, Row, LookupPK, executor scans) is still
+// reads-only territory; callers that interleave scans with writes
+// serialize at a higher layer (wrapper.FullAccessSource holds an RWMutex
+// around Execute/Insert).
 //
 // Index invalidation rules: an equality index built by EnsureIndex is
 // maintained incrementally by Insert (the new ordinal is appended to its
@@ -313,6 +314,40 @@ func (t *Table) LookupOrdinals(column string, v Value) ([]int, error) {
 		return nil, err
 	}
 	return idx[v.Key()], nil
+}
+
+// EqualOrdinals returns the ordinals of the rows whose column equals v
+// under Compare, in ascending order, from whichever index already exists:
+// pkIndex for the primary key, a built equality index, and otherwise the
+// sorted index (built on first use and maintained by Insert, side-run
+// merges included). Unlike LookupOrdinals it never builds an equality
+// index — the sorted index costs one int per row where a string-keyed map
+// costs several — which makes it the lookup behind index-probe joins. The
+// result may be shared with the index; callers must treat it as read-only.
+func (t *Table) EqualOrdinals(column string, v Value) ([]int, error) {
+	if v.IsNull() {
+		return nil, nil
+	}
+	ord := t.Schema.ColumnIndex(column)
+	if ord < 0 {
+		return nil, columnError(t, column)
+	}
+	t.idxMu.Lock()
+	if t.pkIndex != nil && ord == t.Schema.ColumnIndex(t.Schema.PrimaryKey) {
+		i, ok := t.pkIndex[v.Key()]
+		t.idxMu.Unlock()
+		if !ok {
+			return nil, nil
+		}
+		return []int{i}, nil
+	}
+	if idx, ok := t.colIndexes[ord]; ok {
+		ords := idx[v.Key()]
+		t.idxMu.Unlock()
+		return ords, nil
+	}
+	t.idxMu.Unlock()
+	return t.RangeOrdinals(column, v, v, true, true)
 }
 
 // DistinctCount returns the number of distinct non-NULL values in a column.

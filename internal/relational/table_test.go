@@ -246,3 +246,60 @@ func TestNullPrimaryKeyRejected(t *testing.T) {
 		t.Fatal("NULL PK must be rejected")
 	}
 }
+
+// TestEqualOrdinals covers the three lookup sources in ascending ordinal
+// order: pkIndex (float probes of an INT key included), an equality index
+// that already exists, and the sorted index with an uncollapsed side-run
+// — without ever building an equality index itself.
+func TestEqualOrdinals(t *testing.T) {
+	db := populatedDB(t)
+	movie, cast := db.Table("movie"), db.Table("cast_info")
+	eq := func(tb *Table, col string, v Value, want ...int) {
+		t.Helper()
+		got, err := tb.EqualOrdinals(col, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("EqualOrdinals(%s, %v) = %v, want %v", col, v, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("EqualOrdinals(%s, %v) = %v, want %v", col, v, got, want)
+			}
+		}
+	}
+	eq(movie, "movie_id", Int(2), 1)
+	eq(movie, "movie_id", Float(2), 1)
+	eq(movie, "movie_id", Float(2.5))
+	eq(movie, "movie_id", Null())
+
+	// Sorted index: built on first use, never an equality index.
+	eq(cast, "movie_id", Int(1), 0, 1)
+	eq(cast, "movie_id", Float(1), 0, 1)
+	if cast.HasIndex("movie_id") || !cast.HasSortedIndex("movie_id") {
+		t.Fatal("EqualOrdinals must answer from the sorted index without building an equality index")
+	}
+	// Inserts land in the side-run; lookups merge it in ordinal order.
+	for i, mid := range []int64{2, 1, 3} {
+		if err := db.Insert("cast_info", Row{Int(int64(10 + i)), Int(mid), String_("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := cast.MaintenanceStats(); m.SortedIndexSideInserts != 3 {
+		t.Fatalf("side-run holds %d inserts, want 3", m.SortedIndexSideInserts)
+	}
+	eq(cast, "movie_id", Int(1), 0, 1, 4)
+	eq(cast, "movie_id", Int(2), 2, 3)
+	eq(cast, "movie_id", Int(3), 5)
+	eq(cast, "movie_id", String_("1"))
+
+	// An existing equality index answers instead.
+	if _, err := cast.EnsureIndex("person"); err != nil {
+		t.Fatal(err)
+	}
+	eq(cast, "person", String_("alice smith"), 0, 2)
+	if _, err := cast.EqualOrdinals("nope", Int(1)); err == nil {
+		t.Fatal("unknown column must error")
+	}
+}

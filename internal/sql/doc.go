@@ -44,10 +44,46 @@
 //     disconnected. Statements past ReorderMaxRelations, LEFT joins
 //     (order is semantics there), SELECT * (column order is the written
 //     order) and unresolvable ON conjuncts keep the written order.
-//   - Join strategy. Equi-join conjuncts drive a hash join; the build
-//     side is the side with the smaller cardinality estimate. LEFT joins
-//     always build right so unmatched left rows can be null-extended.
-//     Non-equi ONs fall back to a nested loop.
+//   - Join strategy. Each join step runs as a hash join, an index-probe
+//     join or a nested loop; see "Join strategies" below.
+//
+// # Join strategies
+//
+// A join step combines the accumulated left relation with one base-table
+// scan. The planner picks its strategy from the equi-join keys the ON
+// conjunction yields and the cardinality estimates it already computed,
+// with no option to force either choice:
+//
+//   - Index-probe join. When the step has a single-column equi key, one
+//     side is a full scan of a base table with at least
+//     LazyIndexThreshold rows, and the other side's estimate is below
+//     1/indexProbeFactor of that table's rows, the table is not scanned.
+//     The other side streams, and each of its rows looks its key up
+//     through relational.Table.EqualOrdinals — the primary-key index, an
+//     equality index that already exists, or else the sorted index (one
+//     int per row, maintained by Insert through side-runs). Each fetched
+//     row passes the probed scan's pushed predicates, then the residual ON
+//     conjuncts and the step's WHERE conjuncts. Probing the right table
+//     streams the left side and works for every join kind, null-extending
+//     the unmatched rows of a LEFT join. Probing the left side needs it to
+//     be the bare base table, so it applies to an inner join at step 0: the
+//     right scan streams and each of its rows probes the base table. When
+//     both sides qualify, the one with fewer estimated lookups streams. An
+//     Exists or a satisfied LIMIT stops after the first few lookups, and
+//     no build table is allocated. EXPLAIN shows the step as
+//     `INDEX PROBE JOIN t on t.col = other.col via pk|hash|sorted` above a
+//     `PROBE SCAN t`, whose actual rows count the fetched rows that passed
+//     its predicates; PlannerStats counts these steps as IndexProbeJoins
+//     and does not count the probed scan among FullScans.
+//   - Hash join. Any other step with equi-join keys builds a hash table on
+//     the side with the smaller estimate and probes it with the other.
+//     LEFT joins always build right so unmatched left rows can be
+//     null-extended. Build-left steps count as BuildSideSwaps.
+//   - Nested loop. A step without equi-join keys evaluates its whole ON
+//     conjunction for every pair of rows.
+//
+// Hash and index-probe joins accept the same key pairs: both NULL-free
+// and equal under relational.Compare, so 3 joins 3.0.
 //
 // # Cardinality estimation
 //
@@ -62,9 +98,10 @@
 // null fraction, AND/OR/NOT composed from their operands, and pattern
 // operators (LIKE, MATCH) by a fixed default. Equi-join steps use the
 // textbook 1/max(V(l), V(r)) over the key columns' distinct counts. The
-// estimates drive the join-order search and build-side selection, which
-// is what makes them matter on skewed data — the pre-statistics planner
-// halved the estimate per predicate and executed joins in written order.
+// estimates drive the join-order search, build-side selection and the
+// index-probe choice, which is what makes them matter on skewed data —
+// the pre-statistics planner halved the estimate per predicate and
+// executed joins in written order.
 //
 // The executor streams rows through the join pipeline with callback
 // iterators, which gives two short-circuit modes: Exists stops at the

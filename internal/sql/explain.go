@@ -10,10 +10,10 @@ import (
 // Explain renders a textual execution plan for the statement against the
 // database: access paths (equality, range, IN-list or MATCH-posting index
 // probes vs full scans), pushed-down predicates, the chosen join order,
-// join strategies (hash vs nested loop) with build sides and key columns,
-// filters, aggregation, ordering and limits. The rendering is produced
-// from the same QueryPlan the executor runs, so the plan reflects what
-// Execute actually does.
+// join strategies (hash, index probe or nested loop) with build sides,
+// probed tables and key columns, filters, aggregation, ordering and
+// limits. The rendering is produced from the same QueryPlan the executor
+// runs, so the plan reflects what Execute actually does.
 func Explain(db *relational.Database, stmt *SelectStmt) (string, error) {
 	qp, err := Plan(db, stmt)
 	if err != nil {
@@ -95,23 +95,33 @@ func renderPlan(db *relational.Database, stmt *SelectStmt, qp *QueryPlan) string
 	// strategy, build side, keys and the predicates placed at that level.
 	joinLines := []string{scanLine(db, qp.Scans[0])}
 	for i, jp := range qp.Joins {
-		kind := "NESTED LOOP JOIN"
-		detail := "on " + jp.On
-		if jp.Strategy == StrategyHash {
+		kind, tr, detail := "NESTED LOOP JOIN", refOf(jp.Table, jp.Binding), "on "+jp.On
+		switch jp.Strategy {
+		case StrategyHash:
 			kind = "HASH JOIN"
 			side := "right"
 			if jp.BuildLeft {
 				side = "left"
 			}
 			detail = "build " + side + " on " + strings.Join(jp.Keys, ", ")
-			if len(jp.Residual) > 0 {
-				detail += " residual " + strings.Join(jp.Residual, " AND ")
+		case StrategyIndexProbe:
+			// Name the probed table and its lookup key: the left base
+			// table when the join probes leftwards, else the right table.
+			probed := qp.Scans[i+1]
+			if jp.ProbeLeft {
+				probed = qp.Scans[0]
 			}
+			kind = "INDEX PROBE JOIN"
+			tr = refOf(probed.Table, probed.Binding)
+			detail = fmt.Sprintf("on %s.%s %s via %s", probed.Binding, probed.IndexColumn, probed.Lookup, jp.Via)
+		}
+		if jp.Strategy != StrategyNestedLoop && len(jp.Residual) > 0 {
+			detail += " residual " + strings.Join(jp.Residual, " AND ")
 		}
 		if jp.Outer {
 			kind = "LEFT " + kind
 		}
-		entry := fmt.Sprintf("%s %s %s", kind, scanText(refOf(jp.Table, jp.Binding)), detail)
+		entry := fmt.Sprintf("%s %s %s", kind, scanText(tr), detail)
 		if len(jp.Filter) > 0 {
 			entry += " filter " + strings.Join(jp.Filter, " AND ")
 		}
@@ -161,6 +171,8 @@ func scanLine(db *relational.Database, sp ScanPlan) string {
 		s = fmt.Sprintf("IN SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
 	case AccessMatchPostings:
 		s = fmt.Sprintf("MATCH SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
+	case AccessIndexProbe:
+		s = fmt.Sprintf("PROBE SCAN %s (%s %s, ~%d rows)", scanText(tr), sp.IndexColumn, sp.Lookup, sp.EstRows)
 	default:
 		s = fmt.Sprintf("SCAN %s (%d rows)", scanText(tr), db.Table(sp.Table).Len())
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/relational"
 )
 
@@ -154,5 +155,38 @@ func TestExplainAnalyzeStatsFreshness(t *testing.T) {
 	}
 	if plan := analyze(); !strings.Contains(plan, "[stats: sampled]") {
 		t.Errorf("analyze over a sampled rebuild should say so:\n%s", plan)
+	}
+}
+
+// TestExplainAnalyzeIndexProbeJoin pins the index-probe rendering on the
+// IMDB instance: the MATCH-selected persons stream, each looks its key up
+// in cast_info's sorted person_id index, and the probed cast_info scan
+// reports the 128 rows it fetched rather than the table's 8,392.
+func TestExplainAnalyzeIndexProbeJoin(t *testing.T) {
+	db := datasets.IMDB(datasets.Config{Seed: 42, Scale: 8})
+	if n := db.Table("cast_info").Len(); n != 8392 {
+		t.Fatalf("cast_info has %d rows, want 8392", n)
+	}
+	stmt, err := Parse(`SELECT DISTINCT person.name, cast_info.cast_id FROM cast_info
+		JOIN person ON (person.person_id = cast_info.person_id) WHERE (person.name MATCH 'carter')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ExplainAnalyze(db, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{
+		"INDEX PROBE JOIN cast_info on cast_info.person_id = person.person_id via sorted",
+		"MATCH SCAN person (name MATCH 'carter'",
+		"PROBE SCAN cast_info (person_id = person.person_id",
+		"(128 actual rows)",
+	} {
+		if !strings.Contains(plan, frag) {
+			t.Errorf("plan missing %q:\n%s", frag, plan)
+		}
+	}
+	if strings.Contains(plan, "HASH JOIN") || strings.Contains(plan, "SCAN cast_info (8392 rows)") {
+		t.Errorf("cast_info must be probed, not scanned and hashed:\n%s", plan)
 	}
 }

@@ -32,13 +32,24 @@ const (
 	AccessIndexRange    = "index-range"
 	AccessIndexIn       = "index-in"
 	AccessMatchPostings = "match-postings"
+	// AccessIndexProbe marks the scan an index-probe join reads row by row:
+	// its rows are fetched by ordinal per streamed key, never scanned.
+	AccessIndexProbe = "index-probe"
 )
 
 // Join-strategy labels used in JoinPlan.Strategy.
 const (
 	StrategyHash       = "hash"
+	StrategyIndexProbe = "index-probe"
 	StrategyNestedLoop = "nested-loop"
 )
+
+// indexProbeFactor is how many rows of the probed table each streamed row
+// must stand for before an index-probe join replaces a hash join: a probe
+// is one index lookup under the table's index lock where the hash join
+// scans, filters and hashes every row of the table once, so probing wins
+// while the streamed side is a small fraction of the probed table.
+const indexProbeFactor = 4
 
 // ScanPlan describes how one base table is read: its access path, the
 // predicates pushed down below the joins, and the planner's cardinality
@@ -72,11 +83,18 @@ type ScanPlan struct {
 type JoinPlan struct {
 	Table    string
 	Binding  string
-	Strategy string // StrategyHash or StrategyNestedLoop
+	Strategy string // StrategyHash, StrategyIndexProbe or StrategyNestedLoop
 	// BuildLeft is set when the hash join builds on the (estimated
 	// smaller) accumulated left side and probes with the right table,
 	// instead of the default build-right.
 	BuildLeft bool
+	// ProbeLeft is set when an index-probe join streams the right scan and
+	// looks each key up in the base table on its left, instead of the
+	// default of streaming the left side into the right table's index.
+	// Via names the index the lookups used at plan time: "pk", "hash" or
+	// "sorted".
+	ProbeLeft bool
+	Via       string
 	Outer     bool
 	Keys      []string // equi-join key pairs ("l = r")
 	Residual  []string // non-equi ON conjuncts re-checked per candidate
@@ -120,6 +138,7 @@ type PlannerStats struct {
 	LazyIndexBuilds    uint64 // index builds the planner itself triggered
 	JoinReorders       uint64 // plans whose join order moved off the written order
 	HashJoins          uint64
+	IndexProbeJoins    uint64 // join steps run as per-row index lookups
 	NestedLoopJoins    uint64
 	BuildSideSwaps     uint64 // hash joins that built on the left side
 	PushedPredicates   uint64 // WHERE conjuncts pushed below a join
@@ -133,6 +152,7 @@ type plannerCounters struct {
 	rangeScans, inScans, matchScans    atomic.Uint64
 	joinReorders                       atomic.Uint64
 	hashJoins, nestedLoops, buildSwaps atomic.Uint64
+	indexProbeJoins                    atomic.Uint64
 	pushed, existsFast, limitShort     atomic.Uint64
 }
 
@@ -152,6 +172,7 @@ func Stats() PlannerStats {
 		LazyIndexBuilds:    counters.lazyBuilds.Load(),
 		JoinReorders:       counters.joinReorders.Load(),
 		HashJoins:          counters.hashJoins.Load(),
+		IndexProbeJoins:    counters.indexProbeJoins.Load(),
 		NestedLoopJoins:    counters.nestedLoops.Load(),
 		BuildSideSwaps:     counters.buildSwaps.Load(),
 		PushedPredicates:   counters.pushed.Load(),
@@ -217,9 +238,22 @@ type joinStep struct {
 	// buildLeft materializes the accumulated left side and probes with the
 	// right scan (inner hash joins whose left side is estimated smaller).
 	buildLeft bool
-	outCols   []boundCol // accumulated columns after this join
-	est       int
+	// probe selects the index-probe join in place of the hash join (see
+	// chooseProbe); via labels the index EqualOrdinals will answer from.
+	probe   probeSide
+	via     string
+	outCols []boundCol // accumulated columns after this join
+	est     int
 }
+
+// probeSide says which scan of an index-probe join step is probed.
+type probeSide uint8
+
+const (
+	noProbe    probeSide = iota
+	probeRight           // stream the accumulated left side, probe the right table
+	probeLeft            // stream the right scan, probe the base table (step 0 only)
+)
 
 // plannedQuery is an executable plan: a base scan, join steps, and the
 // residual top-level filter. It is immutable after planning — every
@@ -391,18 +425,16 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 	// enumerator rebuilds the steps in cost order; everything else keeps
 	// the written order.
 	if tryReorder(p, stmt, nodes, tables, nodeStart, ownerNode, full) {
-		p.compileVec()
-		captureStatsFreshness(nodes, tables)
-		p.plan = p.describe()
+		p.finish(nodes, tables)
 		return p, nil
 	}
 
 	// Written-order join planning: equi-key detection against the
 	// accumulated relation, statistics-driven cardinality estimates, then
-	// build-side selection.
+	// build-side and probe selection.
 	accum := &relation{cols: append([]boundCol{}, base.cols...)}
 	leftEst := base.est
-	for _, st := range p.steps {
+	for si, st := range p.steps {
 		rightRel := &relation{cols: st.right.cols}
 		st.lk, st.rk, st.residual = equiJoinKeys(accum, rightRel, st.jc.On)
 		accum = &relation{cols: append(append([]boundCol{}, accum.cols...), st.right.cols...)}
@@ -428,23 +460,79 @@ func buildPlan(db *relational.Database, stmt *SelectStmt) (*plannedQuery, error)
 		if st.jc.Left && st.est < leftEst {
 			st.est = leftEst // outer join preserves every left row
 		}
+		p.chooseProbe(si, st, accum.cols, leftEst, tables[0], tables[si+1])
 		leftEst = st.est
 	}
 
-	p.compileVec()
-	captureStatsFreshness(nodes, tables)
-	p.plan = p.describe()
+	p.finish(nodes, tables)
 	return p, nil
 }
 
-// captureStatsFreshness stamps each scan node with the freshness of the
-// statistics its table currently caches — the snapshots estimation just
-// consulted — so the frozen plan can report what its estimates were built
-// from.
-func captureStatsFreshness(nodes []*scanNode, tables []*relational.Table) {
+// finish completes a plan whose steps are final: it compiles the
+// vectorized scan filters, counts the scans left as full scans, stamps
+// each scan node with the freshness of the statistics its table currently
+// caches — the snapshots estimation just consulted — and freezes the
+// introspectable plan.
+func (p *plannedQuery) finish(nodes []*scanNode, tables []*relational.Table) {
+	p.compileVec()
 	for i, n := range nodes {
+		if n.access == AccessFullScan {
+			counters.fullScans.Add(1)
+		}
 		n.freshness = tables[i].StatsFreshnessSummary()
 	}
+	p.plan = p.describe()
+}
+
+// chooseProbe turns join step si into an index-probe join when its equi
+// key is a single column, one side is a full scan of a base table of at
+// least LazyIndexThreshold rows, and the other side's estimated row count
+// is below 1/indexProbeFactor of that table: the streamed side's rows
+// then touch the table only sparsely, and looking each key up beats
+// scanning and hashing the whole table. The right table is probed per
+// accumulated left row (any join kind); at step 0 of an inner join the
+// base table on the left can be probed per right row instead. When both
+// qualify, the side with fewer estimated lookups streams. leftCols and
+// leftEst describe the accumulated left side; baseT and rightT back
+// p.base and st.right.
+func (p *plannedQuery) chooseProbe(si int, st *joinStep, leftCols []boundCol, leftEst int, baseT, rightT *relational.Table) {
+	if len(st.lk) != 1 {
+		return
+	}
+	sparse := func(n *scanNode, t *relational.Table, streamed int) bool {
+		return n.access == AccessFullScan && t.Len() >= LazyIndexThreshold &&
+			streamed*indexProbeFactor < t.Len()
+	}
+	side, streamed := noProbe, 0
+	if sparse(st.right, rightT, leftEst) {
+		side, streamed = probeRight, leftEst
+	}
+	if si == 0 && !st.jc.Left && sparse(p.base, baseT, st.right.est) &&
+		(side == noProbe || st.right.est < streamed) {
+		side, streamed = probeLeft, st.right.est
+	}
+	if side == noProbe {
+		return
+	}
+	n, t, keyOrd, other := st.right, rightT, st.rk[0], leftCols[st.lk[0]].display
+	if side == probeLeft {
+		n, t, keyOrd, other = p.base, baseT, st.lk[0], st.right.cols[st.rk[0]].display
+	}
+	col := t.Schema.Columns[keyOrd].Name
+	st.probe, st.buildLeft = side, false
+	switch {
+	case strings.EqualFold(col, t.Schema.PrimaryKey):
+		st.via = "pk"
+	case t.HasIndex(col):
+		st.via = "hash"
+	default:
+		st.via = "sorted"
+	}
+	// The probed scan now reads only the rows its lookups fetch: about
+	// rows-per-key of them per streamed row, after its pushed predicates.
+	perKey := float64(n.est) / float64(max(columnDistinct(t, n, keyOrd), 1))
+	n.est = min(n.est, clampEst(float64(streamed)*perKey))
+	n.access, n.idxCol, n.lookup = AccessIndexProbe, col, "= "+other
 }
 
 // tableFor returns the relational table backing a scan node.
@@ -750,8 +838,9 @@ func (n *scanNode) chooseAccess(db *relational.Database, t *relational.Table, ke
 	}
 
 	// Full scan: estimate from column statistics instead of the former
-	// halving-per-predicate heuristic.
-	counters.fullScans.Add(1)
+	// halving-per-predicate heuristic. Full scans are counted once the
+	// plan is final (see finish): an index-probe join may still take this
+	// scan over.
 	n.finishEstimate(t, t.Len())
 	return nil
 }
@@ -890,6 +979,9 @@ func (p *plannedQuery) describe() *QueryPlan {
 			for i := range st.lk {
 				jp.Keys = append(jp.Keys, lcols[st.lk[i]].display+" = "+st.right.cols[st.rk[i]].display)
 			}
+		}
+		if st.probe != noProbe {
+			jp.Strategy, jp.ProbeLeft, jp.Via = StrategyIndexProbe, st.probe == probeLeft, st.via
 		}
 		for _, r := range st.residual {
 			jp.Residual = append(jp.Residual, r.SQL())
@@ -1033,11 +1125,6 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		}
 		return emit(row)
 	}
-	concat := func(l, r relational.Row) relational.Row {
-		row := make(relational.Row, 0, len(l)+len(r))
-		row = append(row, l...)
-		return append(row, r...)
-	}
 
 	if len(st.lk) == 0 {
 		counters.nestedLoops.Add(1)
@@ -1051,7 +1138,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		return p.stream(i-1, bt, rc, func(lrow relational.Row) error {
 			matched := false
 			for _, rrow := range rightRows {
-				cand := concat(lrow, rrow)
+				cand := concatRows(lrow, rrow)
 				v, err := eval(outRel, cand, st.jc.On)
 				if err != nil {
 					return err
@@ -1065,12 +1152,15 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 				}
 			}
 			if st.jc.Left && !matched {
-				return filtered(concat(lrow, nullRow(len(st.right.cols))))
+				return filtered(concatRows(lrow, nullRow(len(st.right.cols))))
 			}
 			return nil
 		})
 	}
 
+	if st.probe != noProbe {
+		return p.probeJoin(i, bt, rc, filtered)
+	}
 	counters.hashJoins.Add(1)
 	if st.buildLeft {
 		counters.buildSwaps.Add(1)
@@ -1110,7 +1200,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 					if !joinKeysEqual(leftRows[li], st.lk, rrow, st.rk) {
 						continue
 					}
-					cand := concat(leftRows[li], rrow)
+					cand := concatRows(leftRows[li], rrow)
 					ok, err := evalConjuncts(outRel, cand, st.residual)
 					if err != nil {
 						return err
@@ -1173,7 +1263,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 					if !joinKeysEqual(lrow, st.lk, rightRows[ri], st.rk) {
 						continue
 					}
-					cand := concat(lrow, rightRows[ri])
+					cand := concatRows(lrow, rightRows[ri])
 					ok, err := evalConjuncts(outRel, cand, st.residual)
 					if err != nil {
 						return err
@@ -1188,7 +1278,7 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 				}
 			}
 			if st.jc.Left && !matched {
-				if err := filtered(concat(lrow, nullRow(len(st.right.cols)))); err != nil {
+				if err := filtered(concatRows(lrow, nullRow(len(st.right.cols)))); err != nil {
 					return err
 				}
 			}
@@ -1206,6 +1296,101 @@ func (p *plannedQuery) stream(i int, bt boundTables, rc *runCounts, emit func(re
 		return err
 	}
 	return flush()
+}
+
+// probeJoin runs join step i as an index-probe join. Every row of the
+// streamed side looks its key up in the probed table (EqualOrdinals, so
+// NULL keys fetch nothing); each fetched row must pass the probed scan's
+// pushed predicates — counted as that scan's rows — and then the residual
+// ON conjuncts before filtered applies the step's WHERE conjuncts. The
+// probed table is never scanned, so an Exists or a satisfied LIMIT stops
+// after the first few lookups. Probing the right table streams the
+// accumulated left side and null-extends unmatched rows of LEFT joins;
+// probing the base table (inner step 0) streams the right scan instead.
+func (p *plannedQuery) probeJoin(i int, bt boundTables, rc *runCounts, filtered func(relational.Row) error) error {
+	counters.indexProbeJoins.Add(1)
+	st := p.steps[i]
+	outRel := &relation{cols: st.outCols}
+	left := st.probe == probeLeft
+	probed, pi, pk, sk := st.right, i+1, st.rk[0], st.lk[0]
+	if left {
+		probed, pi, pk, sk = p.base, 0, st.lk[0], st.rk[0]
+	}
+	t := bt[pi]
+	col := t.Schema.Columns[pk].Name
+	local := &relation{cols: probed.cols}
+	probe := func(srow relational.Row) (matched bool, err error) {
+		ords, err := t.EqualOrdinals(col, srow[sk])
+		if err != nil {
+			return false, err
+		}
+		for _, o := range ords {
+			prow := t.Row(o)
+			ok, err := probed.admits(local, prow)
+			if err != nil {
+				return matched, err
+			}
+			if !ok {
+				continue
+			}
+			if rc != nil {
+				rc.scans[pi]++
+			}
+			var cand relational.Row
+			if left {
+				cand = concatRows(prow, srow)
+			} else {
+				cand = concatRows(srow, prow)
+			}
+			ok, err = evalConjuncts(outRel, cand, st.residual)
+			if err != nil {
+				return matched, err
+			}
+			if !ok {
+				continue
+			}
+			matched = true
+			if err := filtered(cand); err != nil {
+				return matched, err
+			}
+		}
+		return matched, nil
+	}
+	if left {
+		return p.streamScan(i+1, st.right, bt[i+1], rc, func(rrow relational.Row) error {
+			_, err := probe(rrow)
+			return err
+		})
+	}
+	return p.stream(i-1, bt, rc, func(lrow relational.Row) error {
+		matched, err := probe(lrow)
+		if err != nil || matched || !st.jc.Left {
+			return err
+		}
+		return filtered(concatRows(lrow, nullRow(len(st.right.cols))))
+	})
+}
+
+// admits reports whether one row of the scan's table passes its pushed
+// predicates: streamScan's filter applied to a single row fetched by
+// ordinal. local is the scan's own relation.
+func (n *scanNode) admits(local *relation, row relational.Row) (bool, error) {
+	if !n.vecOK {
+		return evalConjuncts(local, row, n.pushed)
+	}
+	for _, pr := range n.vec {
+		if !pr.fn(row[pr.ord]) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// concatRows returns a fresh row holding l's cells followed by r's.
+func concatRows(l, r relational.Row) relational.Row {
+	row := make(relational.Row, 0, len(l)+len(r))
+	row = append(row, l...)
+	return append(row, r...)
 }
 
 // run streams the fully joined and filtered relation to emit, optionally

@@ -532,3 +532,68 @@ func TestReorderForwardOnReferenceErrorParity(t *testing.T) {
 		t.Error("forward ON reference must error in ExecuteFullScan")
 	}
 }
+
+// TestPlanIndexProbeJoin pins the index-probe plan and its counters: both
+// probe directions, the probed scan's access path and estimate, one
+// IndexProbeJoins per executed step (HashJoins untouched), and a probed
+// scan that no longer counts among FullScans.
+func TestPlanIndexProbeJoin(t *testing.T) {
+	db := probeDB(t)
+
+	// Left probe: the MATCH-selected movies stream into cast_info.
+	src := `SELECT movie.title, cast_info.role FROM cast_info
+		JOIN movie ON movie.movie_id = cast_info.movie_id
+		WHERE movie.title MATCH 'golden'`
+	before := Stats()
+	qp := planFor(t, db, src)
+	built := Stats()
+	jp := qp.Joins[0]
+	if jp.Strategy != StrategyIndexProbe || !jp.ProbeLeft || jp.Via != "sorted" || jp.BuildLeft {
+		t.Fatalf("join = %+v, want a left index probe via the sorted index", jp)
+	}
+	if sp := qp.Scans[0]; sp.Access != AccessIndexProbe || sp.IndexColumn != "movie_id" ||
+		sp.Lookup != "= movie.movie_id" || sp.EstRows >= db.Table("cast_info").Len() {
+		t.Errorf("probed scan = %+v, want movie_id lookups estimated below the table size", sp)
+	}
+	if d := built.FullScans - before.FullScans; d != 0 {
+		t.Errorf("planning counted %d full scans; the probed scan is not one", d)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := Run(db, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Plan.Scans[0].ActualRows; got != len(res.Rows) {
+			t.Errorf("probed scan actual = %d, want the %d fetched rows", got, len(res.Rows))
+		}
+	}
+	after := Stats()
+	if d := after.IndexProbeJoins - built.IndexProbeJoins; d != 2 {
+		t.Errorf("IndexProbeJoins grew by %d over two executions, want 2", d)
+	}
+	if d := after.HashJoins - built.HashJoins; d != 0 {
+		t.Errorf("HashJoins grew by %d; the step must not hash", d)
+	}
+
+	// Right probe: a point-selected movie streams into cast_info.
+	qp = planFor(t, db, `SELECT movie.title, cast_info.role FROM movie
+		JOIN cast_info ON cast_info.movie_id = movie.movie_id
+		WHERE movie.movie_id = 12`)
+	if jp := qp.Joins[0]; jp.Strategy != StrategyIndexProbe || jp.ProbeLeft || jp.BuildLeft {
+		t.Errorf("join = %+v, want a right index probe", jp)
+	}
+	if qp.Scans[1].Access != AccessIndexProbe {
+		t.Errorf("right scan = %+v, want it probed", qp.Scans[1])
+	}
+
+	// Neither side sparse: a hash join, and both full scans count.
+	before = Stats()
+	qp = planFor(t, db, `SELECT movie.title, cast_info.role FROM cast_info
+		JOIN movie ON movie.movie_id = cast_info.movie_id`)
+	if jp := qp.Joins[0]; jp.Strategy != StrategyHash {
+		t.Errorf("unfiltered join = %+v, want a hash join", jp)
+	}
+	if d := Stats().FullScans - before.FullScans; d != 2 {
+		t.Errorf("hash join plan counted %d full scans, want 2", d)
+	}
+}

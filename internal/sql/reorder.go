@@ -315,6 +315,7 @@ func tryReorder(p *plannedQuery, stmt *SelectStmt, nodes []*scanNode, tables []*
 		leftRows = leftRows * float64(node.est) * stepSel
 		st.est = clampEst(leftRows)
 		st.buildLeft = leftEst < node.est
+		p.chooseProbe(len(steps), st, accum, leftEst, tables[order[0]], tables[r])
 		leftEst = st.est
 		placedMask = newMask
 		steps = append(steps, st)

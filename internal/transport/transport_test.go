@@ -641,3 +641,69 @@ func TestHedgedReadRacesReplicaDyingMidFrame(t *testing.T) {
 		t.Errorf("%d goroutines leaked by the dying loser", g-baseline)
 	}
 }
+
+// TestColumnarStreamWithConcurrentInserts is the mixed read/write
+// regression for FullAccessSource behind a server: the columnar encoder
+// looks up its encoding hints (ColumnStatistics) while ExecuteStream holds
+// the source's read lock, so if that lookup took the read lock again, an
+// Insert queued for the write lock in between would block both for good.
+// Every stream must finish.
+func TestColumnarStreamWithConcurrentInserts(t *testing.T) {
+	db := testDB(t)
+	src := wrapper.NewFullAccessSource(db)
+	c, err := NewLoopbackClient(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Single-table and order-insensitive, so rows stream; 500+ rows, so
+	// the first columnar frame is encoded while the stream still runs.
+	stmt := mustParse(t, "SELECT title, year FROM movie")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			row := relational.Row{relational.Int(int64(10000 + i)), relational.String_("inserted"), relational.Int(2001)}
+			if err := src.Insert("movie", row); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		for q := 0; q < 60; q++ {
+			res, err := c.Execute(stmt)
+			if err != nil {
+				done <- err
+				return
+			}
+			if len(res.Rows) < 500 {
+				done <- fmt.Errorf("stream %d returned %d rows, want at least 500", q, len(res.Rows))
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("columnar streams deadlocked against concurrent inserts")
+	}
+	close(stop)
+	wg.Wait()
+	if st := c.Stats(); st.ColumnarFrames == 0 {
+		t.Errorf("no columnar frames shipped, so the hint lookup never ran: %+v", st)
+	}
+}

@@ -252,8 +252,8 @@ type Source interface {
 // including mixed read/write traffic: the full-text index is read-only
 // after setup, the statistics cache is mutex-guarded, and dataMu
 // serializes Insert against the row-reading faces (Execute, ExecuteExists,
-// ExecuteStream, ColumnStatistics, EdgeDistance) so the executor never
-// scans a table mid-append.
+// ExecuteStream, EdgeDistance) so the executor never scans a table
+// mid-append. ColumnStatistics stays outside dataMu (see its doc).
 type FullAccessSource struct {
 	db    *relational.Database
 	index *fulltext.Index
@@ -341,9 +341,13 @@ func (s *FullAccessSource) EdgeDistance(e relational.JoinEdge) (float64, error) 
 // values), building it lazily at the current table version. This is the
 // instance-statistics face of the wrapper: metadata-only sources cannot
 // provide it (ErrNoInstanceAccess), mirroring EdgeDistance.
+//
+// It takes no dataMu: relational.Table.Stats runs under the table's index
+// lock, which Insert holds for every mutation it makes. The transport
+// server's columnar encoder calls this from inside ExecuteStream's read
+// lock, and taking that lock a second time would deadlock against an
+// Insert queued between the two acquisitions.
 func (s *FullAccessSource) ColumnStatistics(table, column string) (*relational.ColumnStats, error) {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
 	t := s.db.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("wrapper: unknown table %s", table)
